@@ -1,9 +1,10 @@
 """Exact location-domination invariants on small graphs.
 
-Core objects: bitmask-backed immutable graphs, exhaustive solvers for the
-domination / location-domination / global location-domination numbers,
-named family constructors with closed-form value tables, block-cactus
-characterization predicates, and a graph6 census harness.
+Core objects: bitmask-backed immutable graphs, an exact hitting-set
+branch-and-bound for the domination / location-domination / global
+location-domination numbers, named family constructors with closed-form
+value tables, block-cactus characterization predicates, and a graph6
+census harness.
 """
 
 from .graph import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, complement, diameter, is_connected, radius
+from .graph import Graph, complement, diameter, distance_matrix, is_connected
 from .solver import (
     ComplementRelation,
     complement_relation,
@@ -146,7 +146,8 @@ def _scope_plus_one(inv: _Inv) -> bool:
 def _chk_plus_one_necessary(inv: _Inv):
     if not inv.connected:
         return False, "disconnected graph with lambda_c = lambda + 1"
-    r, d = radius(inv.g), diameter(inv.g)
+    ecc = [max(row) for row in distance_matrix(inv.g)]
+    r, d = min(ecc), max(ecc)
     md = inv.g.max_degree()
     if r <= 2 and d <= 4 and md >= inv.lam:
         return _ok()
@@ -443,6 +444,8 @@ def run_census(
     counters add up and counterexamples are sorted by graph6 string before
     truncation to `max_counterexamples` per check.
     """
+    if max_counterexamples < 0:
+        raise ValueError(f"max_counterexamples must be >= 0, got {max_counterexamples}")
     check_ids = tuple(checks) if checks is not None else DEFAULT_CHECKS
     for cid in check_ids:
         if cid not in CHECKS:

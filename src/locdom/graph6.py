@@ -8,7 +8,7 @@ emitted as chr(group+63). Unused trailing bits must be zero.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .graph import Graph, max_vertices
 
@@ -96,7 +96,3 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
             if not text:
                 continue
         yield parse_graph6(text)
-
-
-def read_graph6_file(f: TextIO) -> list[Graph]:
-    return list(iter_graph6(f))

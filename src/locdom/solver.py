@@ -6,27 +6,44 @@ pairwise distinct over the vertices v outside S. lambda(G) is the minimum
 LD-set size, gamma(G) the minimum dominating-set size, and lambda_g(G) the
 minimum size of a set that is an LD-set of both G and its complement.
 
-Searches run over bitmask subsets in increasing integer order, so reported
-witnesses are deterministic (the numerically smallest optimal mask).
+Each invariant is a minimum hitting set of a family of vertex sets. With
+N(v) the open and N[v] the closed neighborhood of v in G:
+
+- S dominates G iff it meets every N[v];
+- S separates the traces of u and v iff it meets the pair set
+  {u, v} | (N(u) ^ N(v));
+- S dominates the complement iff it meets every V - N(v), the closed
+  neighborhood of v there.
+
+In the complement N(u) ^ N(v) becomes N[u] ^ N[v], which differs from it
+only at u and v, so the pair family is the same for G and its complement.
+gamma hits the N[v]; lambda hits the N[v] and the pair sets; lambda of the
+complement hits the V - N(v) and the pair sets; lambda_g hits all three
+families. The complement is never built for lambda_g.
+
+One branch-and-bound search serves every family: duplicate and superset
+sets are dropped, the search branches on the smallest unhit set, and a
+greedy packing of disjoint unhit sets bounds it. The optimum is found by
+raising the budget from a lower bound until a hitting set exists; run at
+that budget the same search enumerates all optimal sets (`ld_codes`,
+`count_optima`).
+
+Witnesses are deterministic. For gamma and lambda the witness is the
+numerically smallest optimal mask. For lambda_g it is the smallest global
+lambda-code when lambda_g = lambda, and otherwise the lambda witness plus
+its dominating vertex. Each graph's families and optima are computed once
+and kept in a small bounded cache, so the several entry points that ask for
+the same invariant share one search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
-from .graph import (
-    Graph,
-    complement,
-    connected_components,
-    eccentricity,
-    diameter,
-    induced_subgraph,
-    iter_bits,
-    radius,
-    vset_members,
-)
+from .graph import Graph, complement, distance_matrix, iter_bits
 
 
 @dataclass(frozen=True)
@@ -181,73 +198,155 @@ def lower_bound(g: Graph) -> int:
     return k
 
 
-def k_subsets(universe: int, k: int) -> Iterator[int]:
-    """All k-subset masks of 0..universe-1 in increasing integer order."""
-    if k == 0:
+# ---------------------------------------------------------------------------
+# hitting-set search
+
+def _reduce(sets: list[int]) -> list[int]:
+    """Drop duplicate sets and supersets of other sets; smallest first."""
+    kept: list[int] = []
+    for s in sorted(set(sets), key=int.bit_count):
+        for t in kept:
+            if t & s == t:
+                break
+        else:
+            kept.append(s)
+    return kept
+
+
+def _hitting_sets(live: list[int], budget: int) -> Iterator[int]:
+    """Hitting sets of `live` with at most `budget` members, each once.
+
+    `live` holds nonempty masks sorted by size. The search branches on the
+    smallest set: branch i takes its i-th member and excludes the earlier
+    ones, so the branches split the hitting sets among them. A node is cut
+    when a greedy packing of pairwise disjoint live sets, each needing a
+    member of its own, exceeds the budget. Every hitting set within the
+    budget contains a yielded one, so at the optimum budget the yielded sets
+    are exactly the optimal hitting sets.
+    """
+    if not live:
         yield 0
         return
-    if k > universe:
-        return
-    mask = (1 << k) - 1
-    limit = 1 << universe
-    while mask < limit:
-        yield mask
-        c = mask & -mask
-        r = mask + c
-        mask = (((r ^ mask) >> 2) // c) | r
+    used = 0
+    need = 0
+    for s in live:
+        if not s & used:
+            used |= s
+            need += 1
+            if need > budget:
+                return
+    pivot = live[0]
+    excluded = 0
+    while pivot:
+        bit = pivot & -pivot
+        pivot ^= bit
+        rest = []
+        for s in live:
+            if not s & bit:
+                s &= ~excluded
+                if not s:
+                    return  # s avoids every later branch vertex too
+                rest.append(s)
+        rest.sort(key=int.bit_count)
+        for found in _hitting_sets(rest, budget - 1):
+            yield found | bit
+        excluded |= bit
 
 
-def _solve(g: Graph, predicate, start: int, count_optima: bool) -> SolveResult:
-    for k in range(start, g.n + 1):
-        first = None
-        count = 0
-        for mask in k_subsets(g.n, k):
-            if predicate(g, mask):
-                if not count_optima:
-                    return SolveResult(k, mask)
-                if first is None:
-                    first = mask
-                count += 1
-        if first is not None:
-            return SolveResult(k, first, count)
-    raise RuntimeError("search exhausted without a feasible set")  # unreachable: V qualifies
+class _Problem:
+    """Minimum hitting sets of one reduced set family on vertices 0..n-1,
+    solved on first use."""
+
+    def __init__(self, sets: list[int], n: int, floor: int):
+        self.sets = _reduce(sets)
+        self.n = n
+        self.floor = floor  # a known lower bound on the optimum
+
+    @cached_property
+    def _some_optimum(self) -> int:
+        k = self.floor
+        while True:
+            found = next(_hitting_sets(self.sets, k), None)
+            if found is not None:
+                return found
+            k += 1
+
+    @property
+    def value(self) -> int:
+        return self._some_optimum.bit_count()
+
+    @cached_property
+    def smallest(self) -> int:
+        """The numerically smallest optimal set.
+
+        Vertices are decided from n-1 down, "exclude" before "include";
+        `best` is always an optimal set that agrees with every decision.
+        """
+        best = self._some_optimum
+        budget = best.bit_count()
+        live = self.sets
+        taken = 0
+        for v in range(self.n - 1, -1, -1):
+            if not live:
+                break
+            bit = 1 << v
+            without = [s & ~bit for s in live]
+            if best & bit:
+                found = None
+                if all(without):
+                    without.sort(key=int.bit_count)
+                    found = next(_hitting_sets(without, budget), None)
+                if found is None:
+                    taken |= bit
+                    budget -= 1
+                    live = [s for s in live if not s & bit]
+                    continue
+                best = taken | found
+            live = without
+        return best
+
+    @cached_property
+    def optima(self) -> tuple[int, ...]:
+        """Every optimal set, in increasing mask order."""
+        return tuple(sorted(_hitting_sets(self.sets, self.value)))
+
+
+_GAMMA, _LAMBDA, _GLOBAL = "gamma", "lambda", "global"
+
+
+@lru_cache(maxsize=16)
+def _problem(g: Graph, kind: str) -> _Problem:
+    """The hitting-set problem of one invariant of g (cached per graph)."""
+    adj = g.adj
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    if kind == _GAMMA:
+        return _Problem(closed, g.n, 1)
+    sets = closed + [
+        1 << u | 1 << v | (adj[u] ^ adj[v])
+        for u in range(g.n) for v in range(u + 1, g.n)
+    ]
+    if kind == _GLOBAL:
+        sets += [g.vertex_mask ^ a for a in adj]
+    return _Problem(sets, g.n, lower_bound(g))
+
+
+def _result(p: _Problem, count_optima: bool) -> SolveResult:
+    return SolveResult(p.value, p.smallest, len(p.optima) if count_optima else None)
 
 
 def domination_number(g: Graph, count_optima: bool = False) -> SolveResult:
     """Exact gamma(g) with witness."""
-    return _solve(g, lambda gg, m: is_dominating(gg, m), 1, count_optima)
+    return _result(_problem(g, _GAMMA), count_optima)
 
 
 def location_domination_number(g: Graph, count_optima: bool = False) -> SolveResult:
-    """Exact lambda(g) with witness.
-
-    Disconnected graphs are solved per component and summed; the union of
-    the per-component smallest witnesses is again the numerically smallest.
-    """
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return _solve(g, lambda gg, m: _is_ld(gg, m), lower_bound(g), count_optima)
-    total = 0
-    witness = 0
-    count = 1
-    for comp in comps:
-        sub = induced_subgraph(g, comp)
-        res = _solve(sub, lambda gg, m: _is_ld(gg, m), lower_bound(sub), count_optima)
-        verts = vset_members(comp)
-        for b in iter_bits(res.witness):
-            witness |= 1 << verts[b]
-        total += res.value
-        if count_optima:
-            count *= res.all_optima_count
-    return SolveResult(total, witness, count if count_optima else None)
+    """Exact lambda(g) with witness."""
+    return _result(_problem(g, _LAMBDA), count_optima)
 
 
 def ld_codes(g: Graph) -> Iterator[int]:
     """All LD-sets of cardinality lambda(g), in increasing mask order."""
-    lam = location_domination_number(g).value
-    for mask in k_subsets(g.n, lam):
-        if _is_ld(g, mask):
-            yield mask
+    yield from _problem(g, _LAMBDA).optima
 
 
 def has_global_ld_code(g: Graph) -> bool:
@@ -258,19 +357,16 @@ def has_global_ld_code(g: Graph) -> bool:
 def global_location_domination_number(g: Graph) -> SolveResult:
     """Exact lambda_g(g) with witness.
 
-    Every minimum LD-set is tested for globality first. When all fail, the
-    smallest LD-code augmented with its dominating vertex certifies
-    lambda(g) + 1, which is an upper bound that is then tight.
+    The value is the minimum hitting set of all three families. When it is
+    lambda(g) + 1, the witness is the lambda witness plus its dominating
+    vertex; otherwise it is the smallest global set of that size.
     """
-    lam = location_domination_number(g)
-    for s in ld_codes(g):
-        if _dominating_vertex_unchecked(g, s) is None:
-            return SolveResult(lam.value, s)
-    u = _dominating_vertex_unchecked(g, lam.witness)
-    witness = lam.witness | 1 << u
-    gc = complement(g)
-    assert _is_ld(g, witness) and _is_ld(gc, witness), "augmented set must be global"
-    return SolveResult(lam.value + 1, witness)
+    glob = _problem(g, _GLOBAL)
+    lam = _problem(g, _LAMBDA)
+    if glob.value != lam.value + 1:
+        return SolveResult(glob.value, glob.smallest)
+    u = _dominating_vertex_unchecked(g, lam.smallest)
+    return SolveResult(glob.value, lam.smallest | 1 << u)
 
 
 def complement_relation(g: Graph) -> ComplementRelation:
@@ -294,11 +390,12 @@ def nonglobal_witness_conditions(g: Graph, s: int) -> NonglobalConditions:
     u = dominating_vertex(g, s)
     if u is None:
         raise ValueError("s is a global LD-set; no dominating vertex to report on")
+    ecc = [max(row) for row in distance_matrix(g)]
     return NonglobalConditions(
         dominating_vertex=u,
-        ecc_u=eccentricity(g, u),
-        radius=radius(g),
-        diameter=diameter(g),
+        ecc_u=ecc[u],
+        radius=min(ecc),
+        diameter=max(ecc),
         max_degree=g.max_degree(),
         set_size=s.bit_count(),
     )

@@ -58,6 +58,18 @@ def test_counterexample_collection_and_cap(monkeypatch):
         assert results == [("fake-odd-order", False, f"odd order {parse_graph6(g6).n}")]
 
 
+def test_negative_counterexample_cap_rejected(monkeypatch, graphs_le5):
+    # with a cap of -1 the truncation would silently drop one counterexample
+    fake = CensusCheck("fake-odd-order", "fails on odd orders",
+                       lambda inv: True, lambda inv: (inv.g.n % 2 == 0, "odd order"))
+    monkeypatch.setitem(CHECKS, fake.id, fake)
+    report = run_census(graphs_le5, checks=[fake.id], max_counterexamples=0)
+    assert report.checks[fake.id].failed == 39
+    assert report.checks[fake.id].counterexamples == []
+    with pytest.raises(ValueError, match="max_counterexamples"):
+        run_census(graphs_le5, checks=[fake.id], max_counterexamples=-1)
+
+
 def test_aborted_on_corpus_read_error():
     def corpus():
         yield fam.path(3)

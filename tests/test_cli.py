@@ -135,6 +135,16 @@ def test_census_failure_exit_one(capsys, monkeypatch):
     assert "FAIL" in out and "counterexample" in out
 
 
+def test_census_rejects_negative_max_counterexamples(capsys):
+    code, out, err = run(
+        capsys, "census", "--input", str(CORPORA / "graphs_le5.g6"),
+        "--max-counterexamples", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "max_counterexamples" in err and "-1" in err
+
+
 def test_tables_exit_zero(capsys):
     code, out, _ = run(capsys, "tables")
     assert code == 0
