@@ -11,6 +11,7 @@ from typing import Iterator, Optional
 from .graph import (
     Graph,
     blocks,
+    connected_components,
     induced_subgraph,
     is_connected,
     iter_bits,
@@ -71,26 +72,6 @@ class StructureReport:
     neighborhood_components: tuple[int, ...]
     w_components: tuple[int, ...]
     violations: tuple[str, ...]
-
-
-def _components_within(g: Graph, mask: int) -> list[int]:
-    """Connected components of the induced subgraph, as original-label masks."""
-    comps = []
-    remaining = mask
-    while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v] & mask
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
 
 
 def _is_clique(g: Graph, mask: int) -> bool:
@@ -156,7 +137,7 @@ def validate_nonglobal_structure(g: Graph, s: int) -> StructureReport:
     nu = g.adj[u]
     w_mask = g.vertex_mask & ~(nu | 1 << u)
 
-    nu_comps = _components_within(g, nu)
+    nu_comps = connected_components(g, within=nu)
     for comp in nu_comps:
         if not _is_clique(g, comp):
             violations.append(f"neighborhood-component-not-clique:{vset_members(comp)}")
@@ -199,7 +180,7 @@ def validate_nonglobal_structure(g: Graph, s: int) -> StructureReport:
             if g.closed_neighborhood(w) & g.closed_neighborhood(w2):
                 violations.append(f"doubleton-closed-neighborhoods-intersect:{w}:{w2}")
 
-    w_comps = _components_within(g, w_mask)
+    w_comps = connected_components(g, within=w_mask)
     block_list = blocks(g).blocks
     for comp in w_comps:
         size = comp.bit_count()

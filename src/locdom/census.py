@@ -6,30 +6,52 @@ string plus the computed invariants), never exceptions; a census run is a
 falsification instrument, so "found a counterexample" is a first-class,
 machine-readable outcome.
 
-Graphs are processed independently; per-check counters merge by addition
-and counterexample lists are sorted and truncated at the end, so reports
-are identical at any worker count.
+Every check reads the invariants of a graph from one `_Inv` record, which
+computes each of them at most once, on first use:
+
+- the graph, its complement and whether it is connected;
+- the optimum values lambda, lambda of the complement, lambda_g,
+  lambda_g of the complement and gamma (values only; the census never
+  needs a witness);
+- the eccentricities, from which radius and diameter are read;
+- the minimum LD-sets (lambda-codes), the non-global ones among them and
+  whether a global one exists;
+- the block-cactus hierarchy tags.
+
+A check asks `_Inv` for these and never recomputes one itself, so a
+census pass does one distance sweep, builds one complement and lists the
+lambda-codes once per graph. Shape-based predictions (block-cactus
+templates, iso-matching against named families) are what the checks
+test, so they stay inside the checks. A check never derives the quantity
+it asserts from the quantity it is checked against.
+
+Graphs are streamed: each is parsed once, evaluated in this process or
+sent in chunks to worker processes, and encoded as graph6 only when one
+of its checks fails. Per-check counters merge by addition and
+counterexample lists are sorted and truncated at the end, so reports are
+identical at any worker count.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
-from .graph import Graph, complement, diameter, distance_matrix, is_connected
+from .graph import Graph, complement, eccentricities, find_isomorphism, is_connected
 from .solver import (
     ComplementRelation,
-    complement_relation,
-    domination_number,
-    global_location_domination_number,
-    has_global_ld_code,
-    ld_codes,
-    location_domination_number,
-    nonglobal_witness_conditions,
+    _GAMMA,
+    _GLOBAL,
+    _LAMBDA,
     _dominating_vertex_unchecked,
+    _problem,
+    ld_codes,
+    nonglobal_witness_conditions,
 )
 from .blockcactus import (
     classify_lambda2_blockcactus,
@@ -38,8 +60,7 @@ from .blockcactus import (
     predict_lambda_g,
     validate_nonglobal_structure,
 )
-from .graph6 import emit_graph6, iter_graph6
-from .graph import find_isomorphism
+from .graph6 import emit_graph6
 from . import families
 
 
@@ -50,36 +71,56 @@ class _Inv:
         self.g = g
 
     @cached_property
+    def gc(self) -> Graph:
+        """The complement of g."""
+        return complement(self.g)
+
+    @cached_property
     def lam(self) -> int:
-        return location_domination_number(self.g).value
+        return _problem(self.g, _LAMBDA).value
 
     @cached_property
     def lam_c(self) -> int:
-        return location_domination_number(complement(self.g)).value
+        return _problem(self.gc, _LAMBDA).value
 
     @cached_property
     def lam_g(self) -> int:
-        return global_location_domination_number(self.g).value
+        return _problem(self.g, _GLOBAL).value
 
     @cached_property
     def lam_g_of_complement(self) -> int:
-        return global_location_domination_number(complement(self.g)).value
+        return _problem(self.gc, _GLOBAL).value
 
     @cached_property
     def gamma(self) -> int:
-        return domination_number(self.g).value
+        return _problem(self.g, _GAMMA).value
 
     @cached_property
     def connected(self) -> bool:
         return is_connected(self.g)
 
     @cached_property
+    def ecc(self) -> tuple:
+        """Eccentricity of every vertex (math.inf throughout if disconnected)."""
+        return eccentricities(self.g)
+
+    @cached_property
     def hierarchy(self):
         return hierarchy(self.g)
 
     @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """Every minimum LD-set, in increasing mask order."""
+        return tuple(ld_codes(self.g))
+
+    @cached_property
+    def nonglobal_codes(self) -> list[int]:
+        """The minimum LD-sets that some outside vertex is adjacent to all of."""
+        return [c for c in self.codes if _dominating_vertex_unchecked(self.g, c) is not None]
+
+    @cached_property
     def has_global_code(self) -> bool:
-        return has_global_ld_code(self.g)
+        return len(self.nonglobal_codes) < len(self.codes)
 
     def _iso_to(self, template: Graph) -> bool:
         return self.g.n == template.n and find_isomorphism(self.g, template) is not None
@@ -130,13 +171,13 @@ def _chk_plus_one_iff(inv: _Inv):
 
 
 def _scope_diam5(inv: _Inv) -> bool:
-    return inv.connected and diameter(inv.g) >= 5
+    return inv.connected and max(inv.ecc) >= 5
 
 
 def _chk_diam5(inv: _Inv):
     if inv.lam_g == inv.lam:
         return _ok()
-    return False, f"diam={diameter(inv.g)} lambda={inv.lam} lambda_g={inv.lam_g}"
+    return False, f"diam={max(inv.ecc)} lambda={inv.lam} lambda_g={inv.lam_g}"
 
 
 def _scope_plus_one(inv: _Inv) -> bool:
@@ -146,8 +187,7 @@ def _scope_plus_one(inv: _Inv) -> bool:
 def _chk_plus_one_necessary(inv: _Inv):
     if not inv.connected:
         return False, "disconnected graph with lambda_c = lambda + 1"
-    ecc = [max(row) for row in distance_matrix(inv.g)]
-    r, d = min(ecc), max(ecc)
+    r, d = min(inv.ecc), max(inv.ecc)
     md = inv.g.max_degree()
     if r <= 2 and d <= 4 and md >= inv.lam:
         return _ok()
@@ -174,7 +214,7 @@ def _scope_bc2(inv: _Inv) -> bool:
 
 def _chk_bc_plus_one(inv: _Inv):
     pred = predict_complement_plus_one(inv.g)
-    exact = complement_relation(inv.g) is ComplementRelation.PLUS_ONE
+    exact = inv.lam_c == inv.lam + 1
     if pred == exact:
         return _ok()
     return False, f"predicted={pred} exact_plus_one={exact} lambda={inv.lam} lambda_c={inv.lam_c}"
@@ -202,16 +242,14 @@ def _chk_bc_lambda2(inv: _Inv):
         cls = classify_lambda2_blockcactus(inv.g)
     except RuntimeError as exc:
         return False, str(exc)
-    exact = complement_relation(inv.g)
+    exact = ComplementRelation(inv.lam_c - inv.lam)
     if cls == exact:
         return _ok()
     return False, f"classified={cls.name} exact={exact.name}"
 
 
 def _chk_bc_structure(inv: _Inv):
-    for code in ld_codes(inv.g):
-        if _dominating_vertex_unchecked(inv.g, code) is None:
-            continue
+    for code in inv.nonglobal_codes:
         report = validate_nonglobal_structure(inv.g, code)
         if report.violations:
             return False, f"code={code} violations={list(report.violations)}"
@@ -219,9 +257,7 @@ def _chk_bc_structure(inv: _Inv):
 
 
 def _chk_nonglobal_conditions(inv: _Inv):
-    for code in ld_codes(inv.g):
-        if _dominating_vertex_unchecked(inv.g, code) is None:
-            continue
+    for code in inv.nonglobal_codes:
         cond = nonglobal_witness_conditions(inv.g, code)
         if not cond.all_hold:
             return False, (
@@ -422,13 +458,25 @@ def evaluate_graph(g: Graph, check_ids: Iterable[str]) -> list[tuple[str, bool, 
     return results
 
 
-def _worker(args: tuple[list[str], tuple[str, ...]]):
-    lines, check_ids = args
+# Graphs per task sent to a worker process, and tasks in flight per worker.
+_CHUNK = 256
+_IN_FLIGHT = 2
+
+
+def _worker(args: tuple[list[Graph], tuple[str, ...]]):
+    """Evaluate a chunk of graphs: (check id, None or (graph6, detail)) for
+    every check in scope. A graph is encoded as graph6 only when it fails."""
+    graphs, check_ids = args
     out = []
-    for g6 in lines:
-        g = next(iter_graph6([g6]))
+    for g in graphs:
+        g6 = None
         for cid, ok, detail in evaluate_graph(g, check_ids):
-            out.append((g6, cid, ok, detail))
+            if ok:
+                out.append((cid, None))
+                continue
+            if g6 is None:
+                g6 = emit_graph6(g)
+            out.append((cid, (g6, detail)))
     return out
 
 
@@ -440,9 +488,12 @@ def run_census(
 ) -> CensusReport:
     """Evaluate the selected checks on every graph of the corpus.
 
-    The report is independent of the corpus order and of the worker count:
-    counters add up and counterexamples are sorted by graph6 string before
-    truncation to `max_counterexamples` per check.
+    The corpus is read once, as a stream: at `jobs` 1 each graph is
+    evaluated as it arrives, otherwise chunks of graphs go to `jobs` worker
+    processes with a bounded number in flight. The report is independent of
+    the corpus order and of the worker count: counters add up and
+    counterexamples are sorted by graph6 string before truncation to
+    `max_counterexamples` per check.
     """
     if max_counterexamples < 0:
         raise ValueError(f"max_counterexamples must be >= 0, got {max_counterexamples}")
@@ -451,42 +502,51 @@ def run_census(
         if cid not in CHECKS:
             raise ValueError(f"unknown census check {cid!r}")
     t0 = time.time()
+    read = 0
     aborted = None
-    lines: list[str] = []
-    try:
-        for g in corpus:
-            lines.append(emit_graph6(g))
-    except OSError as exc:
-        aborted = f"corpus read failed after {len(lines)} graphs: {exc}"
+
+    def graphs() -> Iterator[Graph]:
+        nonlocal read, aborted
+        try:
+            for g in corpus:
+                read += 1
+                yield g
+        except OSError as exc:
+            aborted = f"corpus read failed after {read} graphs: {exc}"
 
     outcomes = {cid: CheckOutcome() for cid in check_ids}
-    raw: list[tuple[str, str, bool, str]] = []
-    if jobs <= 1:
-        raw = _worker((lines, check_ids))
-    else:
-        chunk = max(1, len(lines) // (jobs * 8) or 1)
-        batches = [
-            (lines[i:i + chunk], check_ids) for i in range(0, len(lines), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_worker, batches):
-                raw.extend(part)
 
-    for g6, cid, ok, detail in raw:
-        out = outcomes[cid]
-        out.tested += 1
-        if ok:
-            out.passed += 1
-        else:
-            out.failed += 1
-            out.counterexamples.append((g6, detail))
+    def tally(results) -> None:
+        for cid, failure in results:
+            out = outcomes[cid]
+            out.tested += 1
+            if failure is None:
+                out.passed += 1
+            else:
+                out.failed += 1
+                out.counterexamples.append(failure)
+
+    if jobs <= 1:
+        for g in graphs():
+            tally(_worker(([g], check_ids)))
+    else:
+        stream = graphs()
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            pending = deque()
+            while batch := list(islice(stream, _CHUNK)):
+                pending.append(pool.submit(_worker, (batch, check_ids)))
+                if len(pending) > _IN_FLIGHT * jobs:
+                    tally(pending.popleft().result())
+            for future in pending:
+                tally(future.result())
+
     for out in outcomes.values():
         out.counterexamples.sort()
         del out.counterexamples[max_counterexamples:]
 
     return CensusReport(
         checks=outcomes,
-        total_graphs=len(lines),
+        total_graphs=read,
         elapsed_seconds=time.time() - t0,
         max_counterexamples=max_counterexamples,
         aborted=aborted,

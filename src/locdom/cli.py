@@ -167,17 +167,17 @@ def _cmd_census(args) -> int:
     else:
         ids = None
     try:
-        with open(args.input) as f:
-            graphs = list(iter_graph6(f))
+        f = open(args.input)
     except OSError as exc:
         print(f"error: cannot read corpus: {exc}", file=sys.stderr)
         return 2
-    report = run_census(
-        graphs,
-        checks=ids,
-        jobs=args.jobs,
-        max_counterexamples=args.max_counterexamples,
-    )
+    with f:
+        report = run_census(
+            iter_graph6(f),
+            checks=ids,
+            jobs=args.jobs,
+            max_counterexamples=args.max_counterexamples,
+        )
     if args.format == "json":
         doc = report.canonical_dict()
         doc["elapsed_seconds"] = round(report.elapsed_seconds, 3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 DEFAULT_MAX_N = 64
@@ -118,6 +119,11 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # unpickling a slots object sets its fields through __setattr__, which
+        # is blocked; rebuild through the validating constructor instead
+        return (Graph.from_adjacency, (self.adj,))
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -238,9 +244,14 @@ def distance_matrix(g: Graph) -> list[list]:
     return [_bfs_dists(g, v) for v in range(g.n)]
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Vertex masks of the connected components, in order of smallest member."""
-    remaining = g.vertex_mask
+def connected_components(g: Graph, within: Optional[int] = None) -> list[int]:
+    """Vertex masks of the connected components, in order of smallest member.
+
+    With `within`, the components of the subgraph induced by that vertex
+    mask, still as masks of g's vertices.
+    """
+    mask = g.vertex_mask if within is None else within
+    remaining = mask
     comps = []
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
@@ -250,7 +261,7 @@ def connected_components(g: Graph) -> list[int]:
             nxt = 0
             for v in iter_bits(frontier):
                 nxt |= g.adj[v]
-            nxt &= ~comp
+            nxt &= mask & ~comp
             comp |= nxt
             frontier = nxt
         comps.append(comp)
@@ -271,16 +282,31 @@ def eccentricity(g: Graph, v: int) -> int:
     return ecc
 
 
+@lru_cache(maxsize=16)
+def eccentricities(g: Graph) -> tuple:
+    """Eccentricity of every vertex, from one BFS sweep per vertex.
+
+    Entry v is the largest hop distance from v. On a disconnected graph
+    every vertex misses some other, so every entry is math.inf. Results
+    are kept in a small bounded cache keyed by the immutable graph, so
+    radius, diameter and every caller asking about the same graph share
+    one sweep.
+    """
+    return tuple(max(row) for row in distance_matrix(g))
+
+
 def radius(g: Graph) -> int:
-    if not is_connected(g):
+    ecc = eccentricities(g)
+    if INFINITE in ecc:
         raise DisconnectedGraphError("radius undefined: graph is disconnected")
-    return min(eccentricity(g, v) for v in range(g.n))
+    return min(ecc)
 
 
 def diameter(g: Graph) -> int:
-    if not is_connected(g):
+    ecc = eccentricities(g)
+    if INFINITE in ecc:
         raise DisconnectedGraphError("diameter undefined: graph is disconnected")
-    return max(eccentricity(g, v) for v in range(g.n))
+    return max(ecc)
 
 
 # ---------------------------------------------------------------------------

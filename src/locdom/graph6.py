@@ -19,7 +19,8 @@ _MAX_CHAR = 126
 
 
 class Graph6ParseError(ValueError):
-    """Malformed graph6 input; the message names the offending byte offset."""
+    """Malformed graph6 input; the message names the offending byte offset
+    and, for input read by iter_graph6, the line."""
 
 
 def parse_graph6(line: str) -> Graph:
@@ -86,8 +87,11 @@ def emit_graph6(g: Graph) -> str:
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a stream of graph6 lines, skipping blanks and an optional header."""
-    for line in lines:
+    """Parse a stream of graph6 lines, skipping blanks and an optional header.
+
+    A malformed line raises Graph6ParseError naming its 1-based line number.
+    """
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text == HEADER:
             continue
@@ -95,4 +99,8 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
             text = text[len(HEADER):]
             if not text:
                 continue
-        yield parse_graph6(text)
+        try:
+            g = parse_graph6(text)
+        except Graph6ParseError as exc:
+            raise Graph6ParseError(f"line {lineno}: {exc}") from None
+        yield g

@@ -43,7 +43,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
-from .graph import Graph, complement, distance_matrix, iter_bits
+from .graph import Graph, complement, eccentricities, iter_bits
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ def nonglobal_witness_conditions(g: Graph, s: int) -> NonglobalConditions:
     u = dominating_vertex(g, s)
     if u is None:
         raise ValueError("s is a global LD-set; no dominating vertex to report on")
-    ecc = [max(row) for row in distance_matrix(g)]
+    ecc = eccentricities(g)
     return NonglobalConditions(
         dominating_vertex=u,
         ecc_u=ecc[u],

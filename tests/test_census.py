@@ -1,15 +1,19 @@
 import json
+from collections import Counter
 
 import pytest
 
+import locdom.census as census
+import locdom.graph as graph
 from locdom import families as fam
 from locdom.census import (
     CHECKS,
+    DEFAULT_CHECKS,
     CensusCheck,
     evaluate_graph,
     run_census,
 )
-from locdom.graph6 import parse_graph6
+from locdom.graph6 import emit_graph6, parse_graph6
 
 
 def test_all_checks_pass_on_small_corpus(graphs_le5):
@@ -28,10 +32,49 @@ def test_check_selection_and_unknown_id(graphs_le5):
         run_census(graphs_le5, checks=["no-such-check"])
 
 
-def test_parallel_reports_identical(graphs_le5):
+def test_parallel_reports_identical(graphs_le5, monkeypatch):
     a = run_census(graphs_le5, jobs=1)
     b = run_census(graphs_le5, jobs=2)
     assert json.dumps(a.canonical_dict()) == json.dumps(b.canonical_dict())
+    # failing graphs are encoded only on failure, in this process at jobs=1
+    # and in the workers otherwise; small chunks keep several in flight
+    fake = CensusCheck("fake-odd-order", "fails on odd orders",
+                       lambda inv: True, lambda inv: (inv.g.n % 2 == 0, f"odd order {inv.g.n}"))
+    monkeypatch.setitem(CHECKS, fake.id, fake)
+    monkeypatch.setattr(census, "_CHUNK", 5)
+    ids = [fake.id, "gamma-le-lambda"]
+    a = run_census(reversed(graphs_le5), checks=ids, jobs=1)
+    b = run_census(iter(graphs_le5), checks=ids, jobs=2)
+    assert json.dumps(a.canonical_dict()) == json.dumps(b.canonical_dict())
+    out = b.checks[fake.id]
+    assert (out.tested, out.failed) == (52, 39)
+    odd = sorted(emit_graph6(g) for g in graphs_le5 if g.n % 2)
+    assert [g6 for g6, _ in out.counterexamples] == odd[:10]
+
+
+def test_each_invariant_computed_once_per_graph(monkeypatch):
+    g = fam.cycle(5)  # five minimum LD-sets, none of them global
+    assert len(census._Inv(g).nonglobal_codes) >= 2
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(graph, "distance_matrix", counting("distance", graph.distance_matrix))
+    monkeypatch.setattr(census, "complement", counting("complement", census.complement))
+    monkeypatch.setattr(census, "emit_graph6", counting("emit", census.emit_graph6))
+    graph.eccentricities.cache_clear()
+    results = evaluate_graph(g, DEFAULT_CHECKS)
+    tested = {cid for cid, _ok, _detail in results}
+    assert {"nonglobal-witness-conditions", "blockcactus-nonglobal-structure",
+            "blockcactus-lambda2-relation"} <= tested
+    assert all(ok for _cid, ok, _detail in results)
+    assert calls["distance"] <= 1
+    assert calls["complement"] <= 1
+    assert calls["emit"] == 0
 
 
 def test_counterexample_collection_and_cap(monkeypatch):

@@ -111,6 +111,18 @@ def test_census_missing_file(capsys):
     assert "cannot read corpus" in err
 
 
+def test_census_malformed_line_names_it(capsys, tmp_path):
+    lines = (CORPORA / "graphs_le5.g6").read_text().splitlines()
+    lines[16] = "D ?"  # a space is below the graph6 character range
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("\n".join(lines) + "\n")
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "census", "--input", str(corpus), "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "line 17: character ' ' out of range 63..126 (byte 1)" in err
+
+
 def test_census_unknown_check(capsys):
     code, _, err = run(
         capsys, "census", "--input", str(CORPORA / "graphs_le5.g6"),

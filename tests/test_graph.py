@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from locdom.graph import (
     delete_vertex,
     diameter,
     distance_matrix,
+    eccentricities,
     eccentricity,
     find_isomorphism,
     induced_subgraph,
@@ -196,6 +198,36 @@ def test_disconnected_distance_errors():
         eccentricity(g, 0)
 
 
+def test_pickle_round_trip(monkeypatch):
+    for g in (Graph(1), fam.path(4), fam.wheel(7), union(fam.cycle(3), Graph(2))):
+        back = pickle.loads(pickle.dumps(g))
+        assert type(back) is Graph and back == g and back.edges() == g.edges()
+        with pytest.raises(AttributeError):
+            back.n = 3
+    # loading goes through the validating constructor
+    data = pickle.dumps(fam.path(6))
+    monkeypatch.setenv("LOCDOM_MAX_N", "5")
+    with pytest.raises(ValueError, match="order"):
+        pickle.loads(data)
+
+
+def test_eccentricities():
+    rng = random.Random(5)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 8))
+        ecc = eccentricities(g)
+        assert ecc == tuple(max(row) for row in distance_matrix(g))
+        if is_connected(g):
+            assert ecc == tuple(eccentricity(g, v) for v in range(g.n))
+            assert (radius(g), diameter(g)) == (min(ecc), max(ecc))
+        else:
+            assert all(e is math.inf for e in ecc)
+    assert eccentricities(Graph(1)) == (0,)
+    g = fam.path(5)
+    assert eccentricities(g) == (4, 3, 2, 3, 4)
+    assert eccentricities(Graph(5, g.edges())) is eccentricities(g)  # cached by value
+
+
 # --- components ---
 
 def test_connected_components():
@@ -204,6 +236,23 @@ def test_connected_components():
     assert connected_components(fam.cycle(5)) == [0b11111]
     sizes = sorted(c.bit_count() for c in connected_components(union(Graph(1), fam.complete(4))))
     assert sizes == [1, 4]
+
+
+def test_connected_components_within_mask():
+    g = fam.path(6)  # 0-1-2-3-4-5
+    assert connected_components(g, within=0b110111) == [0b000111, 0b110000]
+    assert connected_components(g, within=0) == []
+    assert connected_components(g, within=g.vertex_mask) == connected_components(g)
+    rng = random.Random(11)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(2, 8))
+        mask = rng.randrange(1, 1 << g.n)
+        verts = vset_members(mask)
+        comps = connected_components(g, within=mask)
+        assert sum(comps) == mask
+        want = [vset(verts[i] for i in vset_members(c))
+                for c in connected_components(induced_subgraph(g, mask))]
+        assert comps == want
 
 
 # --- blocks ---

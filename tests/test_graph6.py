@@ -88,6 +88,12 @@ def test_iter_graph6_skips_header_and_blanks():
     assert [g.n for g in graphs] == [1, 2]
 
 
+def test_iter_graph6_names_the_line():
+    lines = [">>graph6<<", "", "@", "A_", "B\x01"]
+    with pytest.raises(Graph6ParseError, match=r"^line 5: .*\(byte 1\)"):
+        list(iter_graph6(lines))
+
+
 def test_corpus_lines_round_trip(graphs_le5):
     from conftest import corpus_lines
 
