@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and, for census/tables, every check passed),
 1 a check failed (counterexample found or table disagreement),
-2 usage or input errors.
+2 usage or input errors. A census whose corpus fails to read or parse
+part-way reports the graphs before the failure and exits 2.
 """
 
 from __future__ import annotations
@@ -192,7 +193,10 @@ def _cmd_census(args) -> int:
                 print(f"         counterexample {g6}: {detail}")
         if report.aborted:
             print(f"  aborted: {report.aborted}")
-    return 1 if report.total_failures or report.aborted else 0
+    if report.aborted:
+        print(f"error: {report.aborted}", file=sys.stderr)
+        return 2
+    return 1 if report.total_failures else 0
 
 
 def _cmd_family(args) -> int:

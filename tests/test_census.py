@@ -1,5 +1,10 @@
+import io
 import json
+import multiprocessing
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +18,7 @@ from locdom.census import (
     evaluate_graph,
     run_census,
 )
-from locdom.graph6 import emit_graph6, parse_graph6
+from locdom.graph6 import emit_graph6, iter_graph6, parse_graph6
 
 
 def test_all_checks_pass_on_small_corpus(graphs_le5):
@@ -37,7 +42,11 @@ def test_parallel_reports_identical(graphs_le5, monkeypatch):
     b = run_census(graphs_le5, jobs=2)
     assert json.dumps(a.canonical_dict()) == json.dumps(b.canonical_dict())
     # failing graphs are encoded only on failure, in this process at jobs=1
-    # and in the workers otherwise; small chunks keep several in flight
+    # and in the workers otherwise; small chunks keep several in flight.
+    # Forked workers see the fake check registered below, whatever the
+    # platform's default start method.
+    monkeypatch.setattr(census, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
     fake = CensusCheck("fake-odd-order", "fails on odd orders",
                        lambda inv: True, lambda inv: (inv.g.n % 2 == 0, f"odd order {inv.g.n}"))
     monkeypatch.setitem(CHECKS, fake.id, fake)
@@ -123,6 +132,24 @@ def test_aborted_on_corpus_read_error():
     assert report.aborted is not None and "disk gone" in report.aborted
     assert report.total_graphs == 2
     assert report.checks["gamma-le-lambda"].tested == 2
+
+
+def test_aborted_on_malformed_line(graphs_le5):
+    lines = [emit_graph6(g) for g in graphs_le5[:3]] + ["D ?", emit_graph6(graphs_le5[3])]
+    for jobs in (1, 2):
+        report = run_census(iter_graph6(io.StringIO("\n".join(lines))),
+                            checks=["gamma-le-lambda"], jobs=jobs)
+        assert report.aborted == ("corpus read failed after 3 graphs: "
+                                  "line 4: character ' ' out of range 63..126 (byte 1)")
+        assert report.total_graphs == 3
+        assert report.checks["gamma-le-lambda"].tested == 3
+
+
+def test_lambda2_relation_reports_a_gap_of_two():
+    # lambda_c >= lambda + 2 would refute the paper; it is a counterexample,
+    # not an error
+    inv = SimpleNamespace(g=fam.cycle(4), lam=2, lam_c=4)
+    assert census._chk_bc_lambda2(inv) == (False, "lambda_c=4 > lambda+1=3")
 
 
 def test_every_check_has_description():

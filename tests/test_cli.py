@@ -119,8 +119,10 @@ def test_census_malformed_line_names_it(capsys, tmp_path):
     for jobs in ("1", "2"):
         code, out, err = run(capsys, "census", "--input", str(corpus), "--jobs", jobs)
         assert code == 2
-        assert out == ""
         assert "line 17: character ' ' out of range 63..126 (byte 1)" in err
+        # the graphs before the bad line are still reported
+        assert out.startswith("census: 16 graphs, ")
+        assert "aborted: corpus read failed after 16 graphs: line 17: " in out
 
 
 def test_census_unknown_check(capsys):
