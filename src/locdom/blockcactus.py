@@ -1,21 +1,42 @@
 """Recognizers for the block-cactus hierarchy and its characterization
 predicates: which block-cactus admit no global minimum LD-set, which have
 a complement that costs one more, and the structural constraints that a
-non-global LD-set imposes around its dominated apex."""
+non-global LD-set imposes around its dominated apex.
+
+Both characterizations name templates (see `families`) that are, apart
+from complete graphs, an apex vertex with branches hung on it. A template
+is recognized by reading that decomposition off the graph, not by
+building candidates: a complete graph is fig8c; otherwise each cut vertex
+(from the lowpoint DFS of `graph.blocks`) is tried as the apex, and each
+component of g - apex must be one of five branch kinds:
+
+- a pendant vertex;
+- a clique of order >= 2 joined wholly to the apex;
+- a pendant 2-path (only its first vertex touches the apex);
+- a corner: a 4-cycle through the apex whose two cycle neighbours of the
+  apex each carry a pendant;
+- a horned triangle: a triangle joined wholly to the apex with pendants
+  on two of its corners.
+
+The multiset of branch kinds names at most one template. Each kind fixes
+its branch up to isomorphism, so the named template is built once, and an
+isomorphism to it gives the role map.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .graph import (
+    BlockDecomposition,
     Graph,
     blocks,
     connected_components,
-    induced_subgraph,
     is_connected,
     iter_bits,
     find_isomorphism,
+    vset,
     vset_members,
 )
 from .solver import (
@@ -102,8 +123,12 @@ def _block_shape(g: Graph, block_mask: int) -> str:
 
 def hierarchy(g: Graph) -> HierarchyTags:
     """Classify g within the block-cactus hierarchy (tags False if disconnected)."""
+    return _hierarchy(g, blocks(g))
+
+
+def _hierarchy(g: Graph, bd: BlockDecomposition) -> HierarchyTags:
     connected = is_connected(g)
-    shapes = tuple(_block_shape(g, b) for b in blocks(g).blocks)
+    shapes = tuple(_block_shape(g, b) for b in bd.blocks)
     m = g.edge_count()
     cactus_ok = all(s in ("K1", "K2", "K3", "cycle") for s in shapes)
     blockgraph_ok = all(s in ("K1", "K2", "K3", "clique") for s in shapes)
@@ -205,124 +230,148 @@ def validate_nonglobal_structure(g: Graph, s: int) -> StructureReport:
 
 
 # ---------------------------------------------------------------------------
-# template matching
+# template matching by apex decomposition
 
-def _partitions_min2(m: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of m into non-increasing parts, each part >= 2."""
-    if m == 0:
-        yield ()
-        return
-
-    def rec(left: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield ()
-            return
-        for p in range(min(left, cap), 1, -1):
-            if left - p == 0 or left - p >= 2:
-                for rest in rec(left - p, p):
-                    yield (p, *rest)
-
-    yield from rec(m, m)
+_PENDANT, _CLIQUE, _PATH2, _CORNER, _HORNED = (
+    "pendant", "clique", "2-path", "corner", "horned")
 
 
-def _try_templates(g: Graph, candidates: list[FamilyDescriptor]) -> FamilyMatch:
-    matches: list[tuple[FamilyDescriptor, tuple[int, ...]]] = []
-    degseq = g.degree_sequence()
-    for d in candidates:
-        template = build(d)
-        if template.n != g.n or template.degree_sequence() != degseq:
-            continue
-        iso = find_isomorphism(g, template)
-        if iso is not None:
-            matches.append((d, iso))
-    if not matches:
+def _branch_kind(g: Graph, apex: int, comp: int) -> Optional[str]:
+    """Which of the five branch kinds (see the module docstring) the
+    component comp of g - apex is, if any. Every test below pins the
+    branch down up to isomorphism."""
+    size = comp.bit_count()
+    touch = g.adj[apex] & comp
+    if size == 1:
+        return _PENDANT
+    if touch == comp and _is_clique(g, comp):
+        return _CLIQUE
+    if size == 2:
+        return _PATH2
+    if size != 5:
+        return None
+    leaves = vset(v for v in iter_bits(comp) if g.adj[v].bit_count() == 1)
+    anchors = 0
+    for v in iter_bits(leaves):
+        anchors |= g.adj[v]
+    if leaves.bit_count() != 2 or anchors.bit_count() != 2 or anchors & ~touch:
+        return None
+    if touch.bit_count() == 3 and _is_clique(g, touch):
+        return _HORNED
+    if anchors == touch and not _is_clique(g, touch):
+        middle = (comp & ~touch & ~leaves).bit_length() - 1
+        if g.adj[middle] == touch:
+            return _CORNER
+    return None
+
+
+# The templates other than fig8a/fig8b whose apex carries a pendant vertex
+# or a pendant 2-path (non-global list only).
+_PAIRS = {
+    frozenset((_PATH2, _CORNER)): "fig6d",
+    frozenset((_PATH2, _HORNED)): "k4_pendants2_tail",
+    frozenset((_PENDANT, _HORNED)): "k4_pendants3",
+}
+
+
+def _read_off(kinds: list[str], sizes: list[int],
+              nonglobal: bool) -> Optional[FamilyDescriptor]:
+    """The template named by the branches at one apex, if any.
+
+    kinds lists the branch kinds and sizes the clique orders in
+    non-increasing order. A clique with a pendant or a pendant 2-path
+    needs r >= 3 on the non-global list and r >= 2 on the complement list.
+    """
+    if _PENDANT in kinds or _PATH2 in kinds:
+        if len(kinds) != 2:
+            return None
+        if len(sizes) == 1 and sizes[0] >= (3 if nonglobal else 2):
+            tag = "fig8a" if _PENDANT in kinds else "fig8b"
+            return FamilyDescriptor(tag, (sizes[0],))
+        tag = _PAIRS.get(frozenset(kinds)) if nonglobal else None
+        return FamilyDescriptor(tag) if tag else None
+    corners, horned = kinds.count(_CORNER), kinds.count(_HORNED)
+    if nonglobal and len(kinds) >= 2:
+        return FamilyDescriptor("fig6e", (len(sizes), *sizes, corners, horned))
+    if not nonglobal and len(sizes) >= 2 and not corners + horned:
+        return FamilyDescriptor("fig8d", tuple(sizes))
+    return None
+
+
+def _block_cactus_cut_vertices(g: Graph) -> int:
+    """The cut vertices of g, after checking that g is a block-cactus."""
+    bd = blocks(g)
+    if not _hierarchy(g, bd).is_block_cactus:
+        raise ValueError("g is not a block-cactus")
+    return bd.cut_vertices
+
+
+def _recognize(g: Graph, cut_vertices: int, nonglobal: bool) -> Optional[FamilyDescriptor]:
+    """The one template of a list that g is, read off its structure."""
+    if g.edge_count() == g.n * (g.n - 1) // 2:
+        r = g.n - 1
+        return FamilyDescriptor("fig8c", (r,)) if r >= (3 if nonglobal else 1) else None
+    for apex in iter_bits(cut_vertices):
+        kinds: list[str] = []
+        sizes: list[int] = []
+        for comp in connected_components(g, within=g.vertex_mask & ~(1 << apex)):
+            kind = _branch_kind(g, apex, comp)
+            if kind is None:
+                break
+            kinds.append(kind)
+            if kind == _CLIQUE:
+                sizes.append(comp.bit_count())
+        else:
+            d = _read_off(kinds, sorted(sizes, reverse=True), nonglobal)
+            if d is not None:
+                return d
+    return None
+
+
+def _match(g: Graph, cut_vertices: int, nonglobal: bool) -> FamilyMatch:
+    d = _recognize(g, cut_vertices, nonglobal)
+    if d is None:
         return FamilyMatch(matched=False)
-    first_d, first_map = matches[0]
-    return FamilyMatch(
-        matched=True,
-        descriptor=first_d,
-        role_map=first_map,
-        all_descriptors=tuple(d for d, _ in matches),
-    )
-
-
-def _nonglobal_candidates(n: int) -> list[FamilyDescriptor]:
-    out = []
-    if n - 2 >= 3:
-        out.append(FamilyDescriptor("fig8a", (n - 2,)))
-    if n - 3 >= 3:
-        out.append(FamilyDescriptor("fig8b", (n - 3,)))
-    if n - 1 >= 3:
-        out.append(FamilyDescriptor("fig8c", (n - 1,)))
-    if n == 8:
-        out.append(FamilyDescriptor("fig6d"))
-    if n == 7:
-        out.append(FamilyDescriptor("k4_pendants3"))
-    if n == 8:
-        out.append(FamilyDescriptor("k4_pendants2_tail"))
-    for gadgets in range((n - 1) // 5 + 1):
-        m = n - 1 - 5 * gadgets
-        if m < 0:
-            break
-        for t_prime in range(gadgets + 1):
-            horned = gadgets - t_prime
-            for sizes in _partitions_min2(m):
-                if len(sizes) + gadgets >= 2:
-                    out.append(
-                        FamilyDescriptor(
-                            "fig6e", (len(sizes), *sizes, t_prime, horned)
-                        )
-                    )
-    return out
+    role_map = find_isomorphism(g, build(d))
+    if role_map is None:
+        raise RuntimeError(f"internal invariant breach: g read as {d} but not isomorphic to it")
+    return FamilyMatch(matched=True, descriptor=d, role_map=role_map, all_descriptors=(d,))
 
 
 def match_nonglobal_families(g: Graph, lam: Optional[int] = None) -> FamilyMatch:
     """Match g against the templates whose every minimum LD-set is non-global.
 
     Applies to block-cactus with lambda >= 3 (computed when not supplied).
-    Templates: a clique with one pendant vertex, with a pendant 2-path, or
-    bare; a corner or a horned triangle with a pendant 2-path at the apex;
-    K4 carrying three pendants; and any apex identification of at least two
-    branches drawn from cliques, corners and horned triangles.
+    The templates, by the branches at their apex:
+    {pendant, clique K_r} is fig8a and {pendant 2-path, K_r} is fig8b,
+    both for r >= 3; {2-path, corner} is fig6d; {2-path, horned triangle}
+    is K4 with two pendants and a tail; {pendant, horned triangle} is K4
+    with three pendants; at least two branches drawn from cliques, corners
+    and horned triangles are fig6e. K_n for n >= 4 is fig8c.
 
     The family is verified against exhaustive solves for every block-cactus
     on up to 13 vertices built from the legal branch shapes.
     """
-    if not hierarchy(g).is_block_cactus:
-        raise ValueError("g is not a block-cactus")
+    cut_vertices = _block_cactus_cut_vertices(g)
     if lam is None:
         lam = location_domination_number(g).value
     if lam < 3:
         raise ValueError(f"matcher applies to lambda >= 3, got lambda = {lam}")
-    return _try_templates(g, _nonglobal_candidates(g.n))
-
-
-def _complement_candidates(n: int) -> list[FamilyDescriptor]:
-    out = []
-    if n - 1 >= 1:
-        out.append(FamilyDescriptor("fig8c", (n - 1,)))
-    if n - 2 >= 2:
-        out.append(FamilyDescriptor("fig8a", (n - 2,)))
-    if n - 3 >= 2:
-        out.append(FamilyDescriptor("fig8b", (n - 3,)))
-    for sizes in _partitions_min2(n - 1):
-        if len(sizes) >= 2:
-            out.append(FamilyDescriptor("fig8d", sizes))
-    return out
+    return _match(g, cut_vertices, nonglobal=True)
 
 
 def match_complement_families(g: Graph) -> FamilyMatch:
     """Match g against the templates whose complement costs one more.
 
-    Applies to block-cactus of order >= 2. Templates: apex over {isolated
-    vertex + clique} (r >= 2); clique with a pendant 2-path (r >= 2);
-    complete graphs (order >= 2); apex over t >= 2 cliques.
+    Applies to block-cactus of order >= 2. The templates, by the branches
+    at their apex: {pendant, clique K_r} is fig8a and {pendant 2-path, K_r}
+    is fig8b, both for r >= 2; only cliques, at least two, are fig8d.
+    Complete graphs of order >= 2 are fig8c.
     """
-    if not hierarchy(g).is_block_cactus:
-        raise ValueError("g is not a block-cactus")
+    cut_vertices = _block_cactus_cut_vertices(g)
     if g.n < 2:
         raise ValueError("characterization applies to order >= 2")
-    return _try_templates(g, _complement_candidates(g.n))
+    return _match(g, cut_vertices, nonglobal=False)
 
 
 def predict_complement_plus_one(g: Graph) -> bool:

@@ -43,12 +43,12 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .graph import Graph, complement, eccentricities, find_isomorphism, is_connected
 from .solver import (
-    ComplementRelation,
     _GAMMA,
     _GLOBAL,
     _LAMBDA,
     _dominating_vertex_unchecked,
     _problem,
+    complement_relation_from,
     ld_codes,
     nonglobal_witness_conditions,
 )
@@ -243,7 +243,7 @@ def _chk_bc_lambda2(inv: _Inv):
         cls = classify_lambda2_blockcactus(inv.g)
     except RuntimeError as exc:
         return False, str(exc)
-    exact = ComplementRelation(inv.lam_c - inv.lam)
+    exact = complement_relation_from(inv.lam, inv.lam_c)
     if cls == exact:
         return _ok()
     return False, f"classified={cls.name} exact={exact.name}"

@@ -31,7 +31,7 @@ from .families import (
 from .graph import Graph, complement, vset_members
 from .graph6 import Graph6ParseError, emit_graph6, iter_graph6, parse_graph6
 from .solver import (
-    complement_relation,
+    complement_relation_from,
     global_location_domination_number,
     globality,
     location_domination_number,
@@ -60,7 +60,7 @@ def _cmd_solve(args) -> int:
     lam_c = location_domination_number(complement(g))
     lam_g = global_location_domination_number(g)
     rep = globality(g, lam.witness)
-    rel = complement_relation(g)
+    rel = complement_relation_from(lam.value, lam_c.value)
     payload = {
         "schema": 1,
         "input": label,
@@ -96,7 +96,7 @@ def _cmd_classify(args) -> int:
     lam = location_domination_number(g).value
     lam_c = location_domination_number(complement(g)).value
     lam_g = global_location_domination_number(g).value
-    rel = complement_relation(g)
+    rel = complement_relation_from(lam, lam_c)
 
     payload: dict = {
         "schema": 1,

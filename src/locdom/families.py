@@ -72,10 +72,6 @@ _TABLE1: dict[tuple[str, int], tuple[int, int, int]] = {
 # ---------------------------------------------------------------------------
 # constructors
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def path(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 1:
@@ -107,14 +103,14 @@ def star(n: int) -> Graph:
     """Star of order n: leaves 0..n-2, center = vertex n-1."""
     if n < 2:
         raise ValueError("star needs n >= 2")
-    return join(empty_graph(n - 1), Graph(1))
+    return join(Graph(n - 1), Graph(1))
 
 
 def complete_bipartite(r: int, s: int) -> Graph:
     """K_{r,s}: first part 0..r-1, second part r..r+s-1."""
     if r < 1 or s < 1:
         raise ValueError("complete bipartite needs r, s >= 1")
-    return join(empty_graph(r), empty_graph(s))
+    return join(Graph(r), Graph(s))
 
 
 def bi_star(r: int, s: int) -> Graph:
@@ -256,6 +252,19 @@ def k4_pendants2_tail() -> Graph:
     return Graph(8, edges)
 
 
+def fig6e_parts(params: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+    """(clique sizes, t_prime, horned) of fig6e parameters in either layout,
+    (t, r_1, ..., r_t, t_prime) or (t, r_1, ..., r_t, t_prime, horned)."""
+    if not params:
+        raise ValueError("fig6e needs parameters")
+    t = params[0]
+    if len(params) == t + 2:
+        return params[1:-1], params[-1], 0
+    if len(params) == t + 3:
+        return params[1:-2], params[-2], params[-1]
+    raise ValueError(f"fig6e: t={t} inconsistent with {len(params)} parameters")
+
+
 _FIXED = {
     "paw": paw,
     "bull": bull,
@@ -300,14 +309,7 @@ def build(d: FamilyDescriptor) -> Graph:
         if tag == "fig8d":
             return fig8d(p)
         if tag == "fig6e":
-            t = p[0]
-            if len(p) == t + 2:
-                sizes, t_prime, horned = p[1:-1], p[-1], 0
-            elif len(p) == t + 3:
-                sizes, t_prime, horned = p[1:-2], p[-2], p[-1]
-            else:
-                raise ValueError(f"fig6e: t={t} inconsistent with {len(p)} parameters")
-            return fig6e(sizes, t_prime, horned)
+            return fig6e(*fig6e_parts(p))
     except TypeError as exc:
         raise ValueError(f"bad parameter count for {tag}: {p}") from exc
     raise ValueError(f"unknown family tag {tag!r}")
@@ -483,12 +485,8 @@ def describe(d: FamilyDescriptor) -> str:
     if d.tag in short:
         return f"{short[d.tag]}:{','.join(map(str, d.params))}"
     if d.tag == "fig6e":
-        t = d.params[0]
-        if len(d.params) == t + 3:
-            sizes, tp, horned = d.params[1:-2], d.params[-2], d.params[-1]
-        else:
-            sizes, tp, horned = d.params[1:-1], d.params[-1], 0
-        text = f"F6e:t={t},r={','.join(map(str, sizes))};tp={tp}"
+        sizes, tp, horned = fig6e_parts(d.params)
+        text = f"F6e:t={len(sizes)},r={','.join(map(str, sizes))};tp={tp}"
         return text + (f";d={horned}" if horned else "")
     bare = {v: k for k, v in _BARE_TAGS.items()}
     return bare.get(d.tag, d.tag)

@@ -161,15 +161,13 @@ def _dominating_vertex_unchecked(g: Graph, s: int) -> Optional[int]:
 
 
 def dominating_vertex(g: Graph, s: int) -> Optional[int]:
-    """The unique vertex outside the LD-set s adjacent to all of it, if any."""
+    """The unique vertex outside the LD-set s adjacent to all of it, if any.
+
+    It is unique because two such vertices would share the trace s.
+    """
     if not is_ld_set(g, s):
         raise ValueError("s is not an LD-set of g")
-    found = [u for u in iter_bits(g.vertex_mask & ~s) if g.adj[u] & s == s]
-    if len(found) > 1:
-        raise RuntimeError(
-            f"internal invariant breach: {len(found)} vertices dominate an LD-set"
-        )
-    return found[0] if found else None
+    return _dominating_vertex_unchecked(g, s)
 
 
 def globality(g: Graph, s: int) -> GlobalityReport:
@@ -369,16 +367,22 @@ def global_location_domination_number(g: Graph) -> SolveResult:
     return SolveResult(glob.value, lam.smallest | 1 << u)
 
 
-def complement_relation(g: Graph) -> ComplementRelation:
-    """Classify lambda(complement) - lambda(g) as -1, 0 or +1."""
-    lam = location_domination_number(g).value
-    lam_c = location_domination_number(complement(g)).value
+def complement_relation_from(lam: int, lam_c: int) -> ComplementRelation:
+    """The relation of lambda(complement) = lam_c to lambda = lam."""
     diff = lam_c - lam
     if abs(diff) > 1:
         raise RuntimeError(
             f"internal invariant breach: |lambda - lambda(complement)| = {abs(diff)}"
         )
     return ComplementRelation(diff)
+
+
+def complement_relation(g: Graph) -> ComplementRelation:
+    """Classify lambda(complement) - lambda(g) as -1, 0 or +1."""
+    return complement_relation_from(
+        location_domination_number(g).value,
+        location_domination_number(complement(g)).value,
+    )
 
 
 def nonglobal_witness_conditions(g: Graph, s: int) -> NonglobalConditions:

@@ -251,3 +251,54 @@ def test_matcher_iff_nonglobal(connected_le7):
         if lam < 3:
             continue
         assert match_nonglobal_families(g, lam).matched == (not has_global_ld_code(g))
+
+
+# --- shapes one step away from a template ---
+
+def _clique_edges(vs):
+    return [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
+
+
+NEAR_TEMPLATES = {
+    # 4-cycle 0-1-2-3 through apex 0 with both pendants on the far vertex 2,
+    # next to a pendant 2-path (as in fig6d) or a triangle (as in fig6e)
+    "corner-pendants-far-with-2-path": Graph(
+        8, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (2, 5), (0, 6), (6, 7)]),
+    "corner-pendants-far-with-clique": Graph(
+        8, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (2, 5)] + _clique_edges([0, 6, 7])),
+    # triangle 1-2-3 joined wholly to apex 0 with one horn or with three
+    "horned-triangle-one-horn-with-2-path": Graph(
+        7, _clique_edges([0, 1, 2, 3]) + [(1, 4), (0, 5), (5, 6)]),
+    "horned-triangle-three-horns-with-2-path": Graph(
+        9, _clique_edges([0, 1, 2, 3]) + [(1, 4), (2, 7), (3, 8), (0, 5), (5, 6)]),
+    "horned-triangle-one-horn-with-clique": Graph(
+        7, _clique_edges([0, 1, 2, 3]) + [(1, 4)] + _clique_edges([0, 5, 6])),
+    "horned-triangle-three-horns-with-clique": Graph(
+        9, _clique_edges([0, 1, 2, 3]) + [(1, 4), (2, 7), (3, 8)] + _clique_edges([0, 5, 6])),
+    # fig8b(4) with a pendant 3-path instead of a 2-path
+    "fig8b-with-3-path": Graph(8, _clique_edges([0, 1, 2, 3, 4]) + [(0, 5), (5, 6), (6, 7)]),
+    "k4-four-pendants": Graph(8, _clique_edges([0, 1, 2, 3]) + [(0, 4), (1, 5), (2, 6), (3, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_TEMPLATES))
+def test_match_rejects_near_templates(name):
+    g = NEAR_TEMPLATES[name]
+    assert hierarchy(g).is_block_cactus
+    lam = location_domination_number(g).value
+    assert lam >= 3
+    assert not match_nonglobal_families(g, lam).matched
+    assert not match_complement_families(g).matched
+    # outside the non-global templates some minimum LD-set is global
+    assert has_global_ld_code(g)
+
+
+def test_match_raises_when_reading_and_template_disagree(monkeypatch):
+    # a structural reading that the built template does not confirm is a
+    # recognizer fault, never "no match"
+    import locdom.blockcactus as bc
+
+    g = fam.fig8a(4)
+    monkeypatch.setattr(bc, "build", lambda d: fam.path(g.n))
+    with pytest.raises(RuntimeError):
+        match_nonglobal_families(g)
