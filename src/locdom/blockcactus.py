@@ -349,8 +349,11 @@ def match_nonglobal_families(g: Graph, lam: Optional[int] = None) -> FamilyMatch
     with three pendants; at least two branches drawn from cliques, corners
     and horned triangles are fig6e. K_n for n >= 4 is fig8c.
 
-    The family is verified against exhaustive solves for every block-cactus
-    on up to 13 vertices built from the legal branch shapes.
+    tests/test_blockcactus_oracle.py checks this matcher against an
+    enumerator that builds every template of the graph's order and tries
+    isomorphism against each: on every block-cactus of the committed
+    corpora (up to 8 vertices) and on random block-cacti with up to 18
+    vertices.
     """
     cut_vertices = _block_cactus_cut_vertices(g)
     if lam is None:
@@ -379,16 +382,13 @@ def predict_complement_plus_one(g: Graph) -> bool:
     return match_complement_families(g).matched
 
 
-_LAMBDA2_PLUS_ONE = ("cycle3", "paw", "butterfly", "banner_complement")
-
-
-def _lambda2_templates() -> list[Graph]:
-    return [
-        families.cycle(3),
-        families.paw(),
-        families.butterfly(),
-        families.banner_complement(),
-    ]
+# The block-cacti with lambda = 2 whose complement costs one more.
+_LAMBDA2_TEMPLATES = (
+    families.cycle(3),
+    families.paw(),
+    families.butterfly(),
+    families.banner_complement(),
+)
 
 
 def classify_lambda2_blockcactus(g: Graph) -> ComplementRelation:
@@ -402,7 +402,7 @@ def classify_lambda2_blockcactus(g: Graph) -> ComplementRelation:
         raise ValueError("g is not a block-cactus")
     if location_domination_number(g).value != 2:
         raise ValueError("classifier applies to lambda = 2 only")
-    for template in _lambda2_templates():
+    for template in _LAMBDA2_TEMPLATES:
         if g.n == template.n and find_isomorphism(g, template) is not None:
             return ComplementRelation.PLUS_ONE
     exact = complement_relation(g)
@@ -413,28 +413,36 @@ def classify_lambda2_blockcactus(g: Graph) -> ComplementRelation:
     return exact
 
 
-_SMALL_NONGLOBAL_BUILDERS = (
-    lambda: families.path(2),
-    lambda: families.path(5),
-    lambda: families.cycle(3),
-    lambda: families.cycle(5),
-    families.banner_complement,
-    families.paw,
-    families.bull,
-    families.butterfly,
+# The small block-cacti (all with lambda <= 2) that have no global minimum
+# LD-set, outside the templates of match_nonglobal_families.
+_SMALL_NONGLOBAL = (
+    families.path(2),
+    families.path(5),
+    families.cycle(3),
+    families.cycle(5),
+    families.banner_complement(),
+    families.paw(),
+    families.bull(),
+    families.butterfly(),
 )
 
 
-def predict_lambda_g(g: Graph) -> int:
+def predict_lambda_g(g: Graph, nonglobal: Optional[FamilyMatch] = None) -> int:
     """Predicted global lambda of a block-cactus: lambda + 1 exactly on the
-    non-global templates and the small exceptional set, lambda otherwise."""
+    non-global templates and the small exceptional set, lambda otherwise.
+
+    A caller that already holds match_nonglobal_families(g) passes it as
+    nonglobal, so the templates are not matched a second time.
+    """
     if not hierarchy(g).is_block_cactus:
         raise ValueError("g is not a block-cactus")
     lam = location_domination_number(g).value
-    for make in _SMALL_NONGLOBAL_BUILDERS:
-        template = make()
+    for template in _SMALL_NONGLOBAL:
         if g.n == template.n and find_isomorphism(g, template) is not None:
             return lam + 1
-    if lam >= 3 and match_nonglobal_families(g, lam).matched:
-        return lam + 1
+    if lam >= 3:
+        if nonglobal is None:
+            nonglobal = match_nonglobal_families(g, lam)
+        if nonglobal.matched:
+            return lam + 1
     return lam

@@ -121,8 +121,10 @@ class _Inv:
     def has_global_code(self) -> bool:
         return len(self.nonglobal_codes) < len(self.codes)
 
-    def _iso_to(self, template: Graph) -> bool:
-        return self.g.n == template.n and find_isomorphism(self.g, template) is not None
+    def is_one_of(self, templates: tuple[Graph, ...]) -> bool:
+        """True iff g is isomorphic to one of templates."""
+        return any(self.g.n == t.n and find_isomorphism(self.g, t) is not None
+                   for t in templates)
 
 
 @dataclass(frozen=True)
@@ -272,18 +274,22 @@ def _scope_tree(inv: _Inv) -> bool:
     return inv.hierarchy.is_tree
 
 
+# The exceptions each tree and unicyclic check allows, built once.
+_TREE_NONGLOBAL = (families.path(2), families.path(5))
+_TREE_PLUS_ONE = (families.path(2),)
+_UNICYCLIC_NONGLOBAL = (families.cycle(3), families.cycle(5), families.banner_complement(),
+                        families.paw(), families.bull(), families.fig6d())
+_UNICYCLIC_PLUS_ONE = (families.cycle(3), families.banner_complement(), families.paw())
+
+
 def _chk_tree_global(inv: _Inv):
-    if inv._iso_to(families.path(2)) or inv._iso_to(families.path(5)):
-        return _ok()
-    if inv.lam_g == inv.lam:
+    if inv.is_one_of(_TREE_NONGLOBAL) or inv.lam_g == inv.lam:
         return _ok()
     return False, f"tree with lambda={inv.lam} lambda_g={inv.lam_g}"
 
 
 def _chk_tree_complement(inv: _Inv):
-    if inv._iso_to(families.path(2)):
-        return _ok()
-    if inv.lam_c <= inv.lam:
+    if inv.is_one_of(_TREE_PLUS_ONE) or inv.lam_c <= inv.lam:
         return _ok()
     return False, f"tree with lambda={inv.lam} lambda_c={inv.lam_c}"
 
@@ -293,20 +299,13 @@ def _scope_unicyclic(inv: _Inv) -> bool:
 
 
 def _chk_unicyclic_global(inv: _Inv):
-    for make in (families.cycle(3), families.cycle(5), families.banner_complement(),
-                 families.paw(), families.bull(), families.fig6d()):
-        if inv._iso_to(make):
-            return _ok()
-    if inv.lam_g == inv.lam:
+    if inv.is_one_of(_UNICYCLIC_NONGLOBAL) or inv.lam_g == inv.lam:
         return _ok()
     return False, f"unicyclic with lambda={inv.lam} lambda_g={inv.lam_g}"
 
 
 def _chk_unicyclic_complement(inv: _Inv):
-    for make in (families.cycle(3), families.banner_complement(), families.paw()):
-        if inv._iso_to(make):
-            return _ok()
-    if inv.lam_c <= inv.lam:
+    if inv.is_one_of(_UNICYCLIC_PLUS_ONE) or inv.lam_c <= inv.lam:
         return _ok()
     return False, f"unicyclic with lambda={inv.lam} lambda_c={inv.lam_c}"
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional
 
 from .blockcactus import (
@@ -122,14 +123,12 @@ def _cmd_classify(args) -> int:
             "exact": lam_c == lam + 1,
             "agrees": plus.matched == (lam_c == lam + 1),
         }
-        nonglobal_template = None
-        if lam >= 3:
-            m = match_nonglobal_families(g, lam)
-            nonglobal_template = describe(m.descriptor) if m.matched else None
-        pred_g = predict_lambda_g(g)
+        nonglobal = match_nonglobal_families(g, lam) if lam >= 3 else None
+        pred_g = predict_lambda_g(g, nonglobal)
+        matched = nonglobal is not None and nonglobal.matched
         payload["lambda_global_prediction"] = {
             "predicted": pred_g,
-            "nonglobal_template": nonglobal_template,
+            "nonglobal_template": describe(nonglobal.descriptor) if matched else None,
             "exact": lam_g,
             "agrees": pred_g == lam_g,
         }
@@ -247,7 +246,10 @@ def _cmd_tables(args) -> int:
     return 1 if disagreements else 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and never changes it."""
     parser = argparse.ArgumentParser(
         prog="locdom",
         description="Exact location-domination invariants on small graphs.",
@@ -288,9 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

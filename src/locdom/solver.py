@@ -23,10 +23,14 @@ families. The complement is never built for lambda_g.
 
 One branch-and-bound search serves every family: duplicate and superset
 sets are dropped, the search branches on the smallest unhit set, and a
-greedy packing of disjoint unhit sets bounds it. The optimum is found by
-raising the budget from a lower bound until a hitting set exists; run at
-that budget the same search enumerates all optimal sets (`ld_codes`,
-`count_optima`).
+greedy packing of disjoint unhit sets bounds it. Its last two levels are
+not searched: one vertex hits every unhit set exactly when it lies in
+their intersection, so a node with one vertex left to choose reads its
+answers off that intersection, and a node with two left reads them off,
+for each branch vertex, the intersection of the sets that vertex misses.
+The optimum is found by raising the budget from a lower bound until a
+hitting set exists; run at that budget the same search enumerates all
+optimal sets (`ld_codes`, `count_optima`).
 
 Witnesses are deterministic. For gamma and lambda the witness is the
 numerically smallest optimal mask. For lambda_g it is the smallest global
@@ -215,15 +219,55 @@ def _hitting_sets(live: list[int], budget: int) -> Iterator[int]:
     """Hitting sets of `live` with at most `budget` members, each once.
 
     `live` holds nonempty masks sorted by size. The search branches on the
-    smallest set: branch i takes its i-th member and excludes the earlier
-    ones, so the branches split the hitting sets among them. A node is cut
-    when a greedy packing of pairwise disjoint live sets, each needing a
-    member of its own, exceeds the budget. Every hitting set within the
-    budget contains a yielded one, so at the optimum budget the yielded sets
-    are exactly the optimal hitting sets.
+    smallest set, the pivot: branch i takes its i-th member and excludes
+    the earlier ones, so the branches split the hitting sets among them.
+    The exclusions never empty a set, which would then be a proper subset
+    of the pivot. A node with a budget of 3 or more is cut when a greedy
+    packing of pairwise disjoint live sets, each needing a member of its
+    own, exceeds the budget. Every hitting set within the budget contains a
+    yielded one, so at the optimum budget the yielded sets are exactly the
+    optimal hitting sets.
+
+    The last two levels are finished by intersection, with no child list
+    and no child search. At budget 1 the hitting sets are the members of
+    the intersection of the live sets. At budget 2, branch i yields its
+    pivot member alone when that hits every set, and otherwise that member
+    plus each member, not excluded, of the intersection of the sets it
+    misses.
     """
     if not live:
         yield 0
+        return
+    if budget < 2:
+        if budget == 1:
+            common = -1
+            for s in live:
+                common &= s
+            while common:
+                bit = common & -common
+                yield bit
+                common ^= bit
+        return
+    pivot = live[0]
+    excluded = 0
+    if budget == 2:
+        while pivot:
+            bit = pivot & -pivot
+            pivot ^= bit
+            common = ~excluded  # negative until a set that avoids bit is met
+            for s in live:
+                if not s & bit:
+                    common &= s
+                    if not common:
+                        break  # no one vertex completes this branch
+            if common < 0:
+                yield bit  # bit alone hits every set
+            else:
+                while common:
+                    other = common & -common
+                    yield bit | other
+                    common ^= other
+            excluded |= bit
         return
     used = 0
     need = 0
@@ -233,18 +277,11 @@ def _hitting_sets(live: list[int], budget: int) -> Iterator[int]:
             need += 1
             if need > budget:
                 return
-    pivot = live[0]
-    excluded = 0
     while pivot:
         bit = pivot & -pivot
         pivot ^= bit
-        rest = []
-        for s in live:
-            if not s & bit:
-                s &= ~excluded
-                if not s:
-                    return  # s avoids every later branch vertex too
-                rest.append(s)
+        keep = ~excluded
+        rest = [s & keep for s in live if not s & bit]
         rest.sort(key=int.bit_count)
         for found in _hitting_sets(rest, budget - 1):
             yield found | bit
@@ -279,17 +316,19 @@ class _Problem:
 
         Vertices are decided from n-1 down, "exclude" before "include";
         `best` is always an optimal set that agrees with every decision.
+        `taken` holds the vertices decided in, `excluded` those decided
+        out, and `live` the sets no taken vertex hits.
         """
         best = self._some_optimum
         budget = best.bit_count()
         live = self.sets
-        taken = 0
+        taken = excluded = 0
         for v in range(self.n - 1, -1, -1):
             if not live:
                 break
             bit = 1 << v
-            without = [s & ~bit for s in live]
             if best & bit:
+                without = [s & ~(excluded | bit) for s in live]
                 found = None
                 if all(without):
                     without.sort(key=int.bit_count)
@@ -300,7 +339,7 @@ class _Problem:
                     live = [s for s in live if not s & bit]
                     continue
                 best = taken | found
-            live = without
+            excluded |= bit
         return best
 
     @cached_property

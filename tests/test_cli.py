@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from locdom.cli import cli_main
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
+SRC = CORPORA.parent / "src"
 
 
 def run(capsys, *argv):
@@ -176,3 +180,27 @@ def test_bad_inputs_exit_two(capsys):
 
 def test_usage_error_exit_two(capsys):
     assert run(capsys, "census")[0] == 2  # missing --input
+
+
+def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
+    # The parser is built once per process; no option or default may leak
+    # from one call into the next, so each call must print what the same
+    # command prints in a process of its own.
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width
+    le5 = str(CORPORA / "graphs_le5.g6")
+    commands = [
+        ["solve", "P:5", "--format", "json"],
+        ["solve", "P:5"],
+        ["classify", "P:5"],
+        ["census", "--input", le5, "--checks", "nope"],
+        ["--help"],
+        ["nope"],
+        ["solve", "P:5", "--format", "json"],
+    ]
+    in_process = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0, 2, 0]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, got in zip(commands, in_process):
+        alone = subprocess.run([sys.executable, "-m", "locdom.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
